@@ -113,13 +113,19 @@ class NodeCaches:
     # -- local value plumbing ----------------------------------------------------
 
     def current_version(self, line: int) -> int:
-        """Newest version of ``line`` held anywhere in this node."""
+        """Newest version of ``line`` held anywhere in this node.
+
+        A never-stored line is legitimately held at version 0, so the
+        invariant is about presence, not about the version found.
+        """
         best = 0
+        found = False
         for level in self._levels():
             copy = level.lookup(line, touch=False)
             if copy is not None:
+                found = True
                 best = max(best, copy.version)
-        if best == 0 and self.holds(line):
+        if not found and self.holds(line):
             raise InvariantViolation(
                 f"node {self.node} has state {self.state_of(line)} for line "
                 f"{line:#x} but no copy in any level"

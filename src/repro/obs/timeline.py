@@ -4,9 +4,7 @@ Every other metric the repo records is a whole-run aggregate; this
 module captures the *dynamics* — regions warming into their
 private/shared classification, MD1/MD2 occupancy ramping, PB spills
 clustering in phases — by snapshotting stat deltas every ``epoch``
-accesses into compact columnar arrays (plain lists of ints; numpy, when
-available, only accelerates post-run analysis such as
-:func:`phase_drift`).
+accesses into compact columnar arrays (plain lists of ints).
 
 A :class:`TimelineSampler` observes one simulation run without
 perturbing it: it never touches the machine's stats, LRU state, or
@@ -14,8 +12,8 @@ RNGs, so a sampled run produces bit-identical statistics (the same
 contract :class:`~repro.obs.telemetry.Telemetry` and the sanitizer
 honor).  Both drivers feed it:
 
-* the scalar loop (`sim/simulator.py`) counts accesses and calls
-  :meth:`snapshot` at every epoch boundary;
+* the scalar oracle loop (`sim/simulator.py`) counts accesses and
+  calls :meth:`snapshot` at every epoch boundary;
 * the batched driver (`sim/batch.py`) sets its chunk size to the epoch
   length, so every chunk flush *is* an epoch boundary — deferred
   fast-path aggregates are folded in before the snapshot, which is why
@@ -45,11 +43,6 @@ from __future__ import annotations
 import json
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
-
-try:  # numpy accelerates post-run analysis only; sampling never needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less environments
-    _np = None
 
 from repro.common.types import HitLevel
 
@@ -394,10 +387,6 @@ def phase_drift(baseline: Sequence[int], candidate: Sequence[int]) -> float:
     total_c = float(sum(cand))
     if total_b <= 0.0 or total_c <= 0.0:
         return 0.0
-    if _np is not None:
-        cdf_b = _np.cumsum(_np.asarray(base, dtype=float)) / total_b
-        cdf_c = _np.cumsum(_np.asarray(cand, dtype=float)) / total_c
-        return float(_np.abs(cdf_b - cdf_c).max())
     drift = 0.0
     cum_b = cum_c = 0.0
     for vb, vc in zip(base, cand):

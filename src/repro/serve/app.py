@@ -195,14 +195,18 @@ class ServeApp:
         runlog.emit("serve.job_start", job=job.id, cells=len(job.cells),
                     **log_extra)
         _, configs = handlers.parse_submission(dict(request))
-        plan: SweepPlan = await loop.run_in_executor(None, lambda: plan_matrix(
+        # Planning reads the cache on the loop thread, with no await
+        # before the claims below: a run that lands in between would
+        # otherwise be planned as pending after its owner released the
+        # key, and simulated a second time.
+        plan = plan_matrix(
             workloads=list(request["workloads"]),  # type: ignore[arg-type]
             configs=configs,
             instructions=int(request["instructions"]),  # type: ignore[arg-type]
             seed=int(request["seed"]),  # type: ignore[arg-type]
             warmup=int(request["warmup"]),  # type: ignore[arg-type]
             timeline=int(request.get("timeline", 0) or 0),  # type: ignore[arg-type]
-        ))
+        )
 
         cells = {cell.key: cell for cell in job.cells}
         for workload, row in plan.matrix.items():
@@ -212,11 +216,13 @@ class ServeApp:
                     cells[key].state = "cached"
 
         owned: List[PendingRun] = []
+        owned_futures: Dict[str, "asyncio.Future[object]"] = {}
         waited: Dict[str, "asyncio.Future[object]"] = {}
         for item in plan.pending:
             is_owner, future = self.coalescer.claim(item.key)
             if is_owner:
                 owned.append(item)
+                owned_futures[item.key] = future
                 self.metrics.inc("repro_coalesce_owned_total")
             else:
                 waited[item.key] = future
@@ -258,8 +264,12 @@ class ServeApp:
                     shutil.rmtree(hb_dir, ignore_errors=True)
                     # Any owned key not resolved by on_record (failed run,
                     # or execute_plan itself blew up) must release its
-                    # waiters.
+                    # waiters.  A resolved key is skipped: it may already
+                    # belong to a later owner, whose waiters it must not
+                    # fail.
                     for item in owned:
+                        if owned_futures[item.key].done():
+                            continue
                         self.coalescer.fail(
                             item.key, f"run {item.spec.workload} on "
                                       f"{item.spec.config.name} did not "

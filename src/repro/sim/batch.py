@@ -1,20 +1,20 @@
 """Batched simulation driver: chunked streams + inlined L1 fast paths.
 
-:func:`run_batched` is the ``batched=True`` face of
+:func:`run_batched` is the production driver behind
 :meth:`repro.sim.simulator.Simulator.run`.  It precompiles the workload's
 access stream into flat parallel arrays (``cores``/``kinds``/``vaddrs``
-chunks from :meth:`generate_batch`, vectorized into region/page ids per
-chunk with numpy when available), resolves the common fast paths inline
+chunks from :meth:`generate_batch`), resolves the common fast paths inline
 — the D2M MD1-hit + LI-direct L1 hit, the baseline TLB-hit + L1 hit —
 and falls back to the full protocol state machine
 (:meth:`D2MProtocol.access` / :meth:`BaselineHierarchy.access`) for the
 slow tail: misses, ownership transitions, upgrades, and every
 MD3-mediated event.
 
-The contract is **bit-identical accounting**.  The scalar loop stays the
-oracle; this driver must produce the same stats tree, energy counts,
-latency buckets, version-oracle stream, and telemetry histograms for any
-workload.  Three rules enforce that:
+The contract is **bit-identical accounting**.  The scalar loop
+(``Simulator.run(..., batched=False)``) is the oracle; this driver must
+produce the same stats tree, energy counts, latency buckets,
+version-oracle stream, and telemetry histograms for any workload.
+Three rules enforce that:
 
 * *Pure-check-then-mutate*: classification reads shared structures
   (``_where`` maps, LI arrays, data-array slots) without touching them.
@@ -46,11 +46,6 @@ from __future__ import annotations
 from time import perf_counter_ns as _perf_ns
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional by design
-    _np = None
-
 from repro.common.errors import TraceError
 from repro.common.types import (
     Access,
@@ -64,11 +59,8 @@ from repro.core.li import LIKind
 from repro.mem.replacement import LRUPolicy
 from repro.sim.simulator import LatencyBucket, SimResult
 
-#: flush/vectorization granularity (accesses per chunk)
+#: flush granularity (accesses per chunk)
 DEFAULT_CHUNK = 4096
-
-#: minimum chunk length worth a numpy round-trip
-_NUMPY_MIN = 1024
 
 
 def _chunks_from_scalar(workload: Any, total: int, seed: int,
@@ -76,12 +68,10 @@ def _chunks_from_scalar(workload: Any, total: int, seed: int,
                                                       List[int]]]:
     """Generic chunker over a workload without :meth:`generate_batch`.
 
-    Consumes ``generate_fast`` (or ``generate``) and repacks the stream
-    into the same ``(cores, kinds, vaddrs)`` tuples — each access is
-    read before the iterator advances, so mutated-shell generators are
-    safe.
+    Consumes ``generate`` and repacks the stream into the same
+    ``(cores, kinds, vaddrs)`` tuples.
     """
-    generate = getattr(workload, "generate_fast", workload.generate)
+    generate = workload.generate
     kind_code = KIND_CODE
     cores: List[int] = []
     kinds: List[int] = []
@@ -150,13 +140,14 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
     """Batched twin of :meth:`Simulator.run` (same arguments, same result).
 
     Dispatches on the machine's ``fastpath_handles`` contract; a
-    hierarchy without one falls back to the scalar loop outright.
+    hierarchy without one falls back to the scalar loop outright (called
+    directly: ``sim.run`` would dispatch straight back here).
     """
     hierarchy = sim.hierarchy
     machine = getattr(hierarchy, "protocol", hierarchy)
     handles_fn = getattr(machine, "fastpath_handles", None)
     if handles_fn is None:
-        return sim.run(workload, n_instructions, seed=seed, warmup=warmup)
+        return sim._run_scalar(workload, n_instructions, seed, warmup)
     handles = handles_fn()
     tracer = getattr(machine, "tracer", None)
     fast_ok = tracer is None or getattr(tracer, "fast_path_safe", False)
@@ -283,78 +274,42 @@ def _drive_d2m(sim: Any, workload: Any, machine: Any, handles: Dict[str, Any],
     for cores_c, kinds_c, vaddrs_c in _chunk_stream(
             workload, warmup + n_instructions, seed, chunk):
         n = len(cores_c)
-        use_np = _np is not None and n >= _NUMPY_MIN
-        if use_np:
-            va = _np.fromiter(vaddrs_c, _np.int64, n)
-            vregs = (va >> region_bits).tolist()
-            vpgs = (va >> page_bits).tolist() if page_maps is not None \
-                else vaddrs_c
-        else:
-            vregs = [v >> region_bits for v in vaddrs_c]
-            vpgs = [v >> page_bits for v in vaddrs_c] \
-                if page_maps is not None else vaddrs_c
-        # Chunk-level bookkeeping: when no ROI boundary or telemetry
-        # tick can fire inside this chunk, the per-access instruction
-        # and access counting folds into vector ops up front and the
-        # loop prologue shrinks to the clock advance.
-        book_inline = True
-        if use_np and tele_tick is None and not roi_pending:
-            ks = _np.fromiter(kinds_c, _np.int64, n)
-            n_instr = n - int(_np.count_nonzero(ks))
-            if recording:
-                if n_instr:
-                    cs = _np.fromiter(cores_c, _np.int64, n)
-                    for c, v in enumerate(_np.bincount(
-                            cs[ks == 0], minlength=nodes).tolist()):
-                        if v:
-                            core_instructions[c] = (
-                                core_instructions.get(c, 0) + v)
-                instructions += n_instr
-                accesses += n
-                book_inline = False
-            elif warmup_left > n_instr:
-                warmup_left -= n_instr
-                book_inline = False
+        vregs = [v >> region_bits for v in vaddrs_c]
+        vpgs = [v >> page_bits for v in vaddrs_c] \
+            if page_maps is not None else vaddrs_c
         for core, kcode, vaddr, vreg, vpg in zip(
                 cores_c, kinds_c, vaddrs_c, vregs, vpgs):
-            if book_inline:
-                if roi_pending:
-                    # ROI starts here (see the scalar loop): drop
-                    # warm-up stats — including the fast path's
-                    # not-yet-flushed pending counts, which a flush
-                    # would only have moved into the dicts reset() is
-                    # about to clear.
-                    stats.reset()
-                    network.reset()
-                    energy.reset()
-                    f_i = f_d = f_w = 0
-                    recording = True
-                    roi_pending = False
-                    if timeline is not None:
-                        timeline.mark_roi()
-                if kcode == 0:
-                    now = core_times[core] + issue_interval
-                    core_times[core] = now
-                    if recording:
-                        instructions += 1
-                        core_instructions[core] = (
-                            core_instructions.get(core, 0) + 1
-                        )
-                    elif warmup_left > 0:
-                        warmup_left -= 1
-                        if warmup_left == 0:
-                            roi_pending = True
-                else:
-                    now = core_times[core]
-                if recording:
-                    accesses += 1
-                if tele_tick is not None:
-                    tele_tick()
-            elif kcode == 0:
+            if roi_pending:
+                # ROI starts here (see the scalar loop): drop warm-up
+                # stats — including the fast path's not-yet-flushed
+                # pending counts, which a flush would only have moved
+                # into the dicts reset() is about to clear.
+                stats.reset()
+                network.reset()
+                energy.reset()
+                f_i = f_d = f_w = 0
+                recording = True
+                roi_pending = False
+                if timeline is not None:
+                    timeline.mark_roi()
+            if kcode == 0:
                 now = core_times[core] + issue_interval
                 core_times[core] = now
+                if recording:
+                    instructions += 1
+                    core_instructions[core] = (
+                        core_instructions.get(core, 0) + 1
+                    )
+                elif warmup_left > 0:
+                    warmup_left -= 1
+                    if warmup_left == 0:
+                        roi_pending = True
             else:
                 now = core_times[core]
+            if recording:
+                accesses += 1
+            if tele_tick is not None:
+                tele_tick()
 
             if page_maps is not None:
                 ppage = page_maps[core].get(vpg)
@@ -682,68 +637,38 @@ def _drive_baseline(sim: Any, workload: Any, machine: Any,
     for cores_c, kinds_c, vaddrs_c in _chunk_stream(
             workload, warmup + n_instructions, seed, chunk):
         n = len(cores_c)
-        use_np = _np is not None and n >= _NUMPY_MIN
-        if use_np:
-            vpgs = (_np.fromiter(vaddrs_c, _np.int64, n)
-                    >> tlb_bits).tolist()
-        else:
-            vpgs = [v >> tlb_bits for v in vaddrs_c]
-        # Chunk-level bookkeeping (see _drive_d2m).
-        book_inline = True
-        if use_np and tele_tick is None and not roi_pending:
-            ks = _np.fromiter(kinds_c, _np.int64, n)
-            n_instr = n - int(_np.count_nonzero(ks))
-            if recording:
-                if n_instr:
-                    cs = _np.fromiter(cores_c, _np.int64, n)
-                    for c, v in enumerate(_np.bincount(
-                            cs[ks == 0], minlength=nodes).tolist()):
-                        if v:
-                            core_instructions[c] = (
-                                core_instructions.get(c, 0) + v)
-                instructions += n_instr
-                accesses += n
-                book_inline = False
-            elif warmup_left > n_instr:
-                warmup_left -= n_instr
-                book_inline = False
+        vpgs = [v >> tlb_bits for v in vaddrs_c]
         for core, kcode, vaddr, vpage in zip(
                 cores_c, kinds_c, vaddrs_c, vpgs):
-            if book_inline:
-                if roi_pending:
-                    stats.reset()
-                    network.reset()
-                    energy.reset()
-                    f_i = f_d = 0
-                    for c in range(nodes):
-                        tlb_fast[c] = 0
-                    recording = True
-                    roi_pending = False
-                    if timeline is not None:
-                        timeline.mark_roi()
-                if kcode == 0:
-                    now = core_times[core] + issue_interval
-                    core_times[core] = now
-                    if recording:
-                        instructions += 1
-                        core_instructions[core] = (
-                            core_instructions.get(core, 0) + 1
-                        )
-                    elif warmup_left > 0:
-                        warmup_left -= 1
-                        if warmup_left == 0:
-                            roi_pending = True
-                else:
-                    now = core_times[core]
-                if recording:
-                    accesses += 1
-                if tele_tick is not None:
-                    tele_tick()
-            elif kcode == 0:
+            if roi_pending:
+                stats.reset()
+                network.reset()
+                energy.reset()
+                f_i = f_d = 0
+                for c in range(nodes):
+                    tlb_fast[c] = 0
+                recording = True
+                roi_pending = False
+                if timeline is not None:
+                    timeline.mark_roi()
+            if kcode == 0:
                 now = core_times[core] + issue_interval
                 core_times[core] = now
+                if recording:
+                    instructions += 1
+                    core_instructions[core] = (
+                        core_instructions.get(core, 0) + 1
+                    )
+                elif warmup_left > 0:
+                    warmup_left -= 1
+                    if warmup_left == 0:
+                        roi_pending = True
             else:
                 now = core_times[core]
+            if recording:
+                accesses += 1
+            if tele_tick is not None:
+                tele_tick()
 
             if page_maps is not None:
                 ppage = page_maps[core].get(

@@ -47,8 +47,9 @@ def telemetry_default() -> bool:
 
 
 def batched_default() -> bool:
-    """Whether REPRO_BATCHED asks for the batched driver by default."""
-    return os.environ.get("REPRO_BATCHED", "") not in ("", "0")
+    """Whether runs use the batched driver — always; the scalar loop is
+    only the test oracle, selected explicitly with ``batched=False``."""
+    return True
 
 
 def sanitize_every_default() -> int:
@@ -71,8 +72,7 @@ class RunSpec:
     sanitize_every: int = 0       # full-walk sampling period (0 = off)
     check_invariants: bool = False  # full invariant walk on the final state
     telemetry: bool = False       # collect histogram telemetry (obs package)
-    batched: bool = False         # batched fast-path driver (repro.sim.batch)
-    profile: bool = False         # slow-tail attribution (implies batched)
+    profile: bool = False         # slow-tail attribution (obs.profile)
     trace: str = ""               # serve-layer correlation id ("" = none)
     timeline: int = 0             # epoch length for interval sampling (0 = off)
 
@@ -189,7 +189,7 @@ def run_workload(config: SystemConfig, workload_name: str,
                  telemetry: Optional[bool] = None,
                  tracer: Optional[object] = None,
                  heartbeat: Optional[object] = None,
-                 batched: Optional[bool] = None,
+                 batched: bool = True,
                  profile: bool = False,
                  trace: str = "",
                  timeline: int = 0) -> RunOutcome:
@@ -212,13 +212,13 @@ def run_workload(config: SystemConfig, workload_name: str,
     ``heartbeat`` is a sweep-progress :class:`~repro.obs.progress.Heartbeat`
     driven once per simulated access.
 
-    ``batched=None`` defaults from ``REPRO_BATCHED``; when on, the run
-    uses the batched fast-path driver (:mod:`repro.sim.batch`), whose
-    statistics are bit-identical to the scalar loop.
+    Runs use the batched driver (:mod:`repro.sim.batch`);
+    ``batched=False`` selects the scalar loop, the oracle that tests
+    hold it to (statistics are bit-identical either way).
 
     ``profile`` attaches the slow-tail attribution profiler
-    (:mod:`repro.obs.profile`) and forces the batched driver — the
-    fast/slow split it measures only exists there.  ``trace`` is the
+    (:mod:`repro.obs.profile`); the fast/slow split it measures only
+    exists in the batched driver.  ``trace`` is the
     serve-layer correlation id; it rides on this run's log events (and
     is otherwise inert).
 
@@ -233,9 +233,6 @@ def run_workload(config: SystemConfig, workload_name: str,
     roi_warmup = warmup if warmup is not None else warmup_budget(budget)
     do_sanitize = sanitize if sanitize is not None else sanitize_default()
     do_telemetry = telemetry if telemetry is not None else telemetry_default()
-    do_batched = batched if batched is not None else batched_default()
-    if profile:
-        do_batched = True
     every = (sanitize_every if sanitize_every is not None
              else sanitize_every_default())
     hierarchy = build_hierarchy(config)
@@ -279,13 +276,13 @@ def run_workload(config: SystemConfig, workload_name: str,
     runlog.emit("run.start", workload=workload_name, config=config.name,
                 instructions=budget, warmup=roi_warmup, seed=seed,
                 sanitize=do_sanitize, telemetry=do_telemetry,
-                batched=do_batched, **log_extra)
+                batched=batched, **log_extra)
     started = _time.monotonic()
     simulator = Simulator(hierarchy, check_values=check_values,
                           telemetry=tele, profiler=profiler,
                           timeline=sampler)
     result = simulator.run(workload, budget, seed=seed, warmup=roi_warmup,
-                           batched=do_batched)
+                           batched=batched)
     if tele is not None:
         tele.finalize(hierarchy if do_telemetry else None)
     if stream_writer is not None:
@@ -312,8 +309,8 @@ def run_workload(config: SystemConfig, workload_name: str,
         spec=RunSpec(config, workload_name, budget, seed, check_values,
                      roi_warmup, sanitize=do_sanitize, sanitize_every=every,
                      check_invariants=check_invariants,
-                     telemetry=do_telemetry, batched=do_batched,
-                     profile=profile, trace=trace, timeline=timeline),
+                     telemetry=do_telemetry, profile=profile, trace=trace,
+                     timeline=timeline),
         result=result,
         perf=perf,
         hierarchy=hierarchy,
@@ -332,7 +329,9 @@ def run_workload(config: SystemConfig, workload_name: str,
 def run_spec(spec: RunSpec) -> RunOutcome:
     """Execute one :class:`RunSpec` — the unit parallel workers run.
 
-    When the parent exported a sweep-progress heartbeat directory
+    The spec's fields pass through verbatim, so a ``REPRO_*`` variable
+    in the worker's environment cannot override what the plan asked
+    for.  When the parent exported a sweep-progress heartbeat directory
     (``REPRO_PROGRESS_DIR``), the run beats into it so ``repro sweep``
     can render live per-worker progress.
     """
@@ -344,9 +343,8 @@ def run_spec(spec: RunSpec) -> RunOutcome:
                         warmup=spec.warmup, sanitize=spec.sanitize,
                         sanitize_every=spec.sanitize_every,
                         check_invariants=spec.check_invariants,
-                        telemetry=spec.telemetry or None,
+                        telemetry=spec.telemetry,
                         heartbeat=heartbeat,
-                        batched=spec.batched or None,
                         profile=spec.profile,
                         trace=spec.trace,
                         timeline=spec.timeline)

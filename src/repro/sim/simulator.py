@@ -125,7 +125,7 @@ class Simulator:
         self._mshr_inserts = 0
 
     def run(self, workload: Any, n_instructions: int, seed: int = 0,
-            warmup: int = 0, batched: bool = False) -> SimResult:
+            warmup: int = 0, batched: bool = True) -> SimResult:
         """Simulate ``n_instructions`` of ``workload``.
 
         The workload yields :class:`Access` objects and provides
@@ -136,18 +136,13 @@ class Simulator:
         (and value checking) but are excluded from every reported metric,
         emulating the paper's region-of-interest measurement.
 
-        When the workload offers ``generate_fast`` (an allocation-free
-        variant yielding the identical stream, e.g.
-        :meth:`SyntheticWorkload.generate_fast`), the driver uses it;
-        the loop never retains a yielded access, which is that method's
-        one requirement.
-
-        ``batched=True`` dispatches to the batched driver
+        Runs go through the batched driver
         (:func:`repro.sim.batch.run_batched`), which precompiles the
         stream into flat chunk arrays and resolves L1 fast paths
-        inline.  Its statistics are bit-identical to this scalar loop
-        (the ``repro bench`` equivalence gate enforces it); this loop
-        remains the oracle.
+        inline.  ``batched=False`` selects the scalar loop instead: the
+        oracle whose statistics the batched driver must match bit for
+        bit (the tests and the ``repro bench`` equivalence gate enforce
+        it).
         """
         # Neither driver creates reference cycles, so the cyclic
         # collector's gen-0 scans are pure overhead in these
@@ -157,18 +152,18 @@ class Simulator:
         if gc_was_enabled:
             gc.disable()
         try:
-            return self._run(workload, n_instructions, seed, warmup,
-                             batched)
+            if batched:
+                from repro.sim.batch import run_batched
+                return run_batched(self, workload, n_instructions,
+                                   seed=seed, warmup=warmup)
+            return self._run_scalar(workload, n_instructions, seed, warmup)
         finally:
             if gc_was_enabled:
                 gc.enable()
 
-    def _run(self, workload: Any, n_instructions: int, seed: int,
-             warmup: int, batched: bool) -> SimResult:
-        if batched:
-            from repro.sim.batch import run_batched
-            return run_batched(self, workload, n_instructions, seed=seed,
-                               warmup=warmup)
+    def _run_scalar(self, workload: Any, n_instructions: int, seed: int,
+                    warmup: int) -> SimResult:
+        """The scalar loop: one access at a time through ``access``."""
         result = SimResult(
             name=self.hierarchy.config.name,
             instructions=0,
@@ -182,7 +177,7 @@ class Simulator:
         # recording) is inlined rather than dispatched through helper
         # methods.  The MSHR transform stays a method (`_apply_mshr`);
         # its semantics are documented and unit-tested there.
-        generate = getattr(workload, "generate_fast", workload.generate)
+        generate = workload.generate
         translate = workload.translate
         line_of = self.hierarchy.amap.line_of
         # D2MHierarchy.access is pure delegation to its protocol; dispatch

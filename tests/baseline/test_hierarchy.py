@@ -76,6 +76,14 @@ class TestDirectedFlows:
         out = self.driver.ifetch(0, 0x2000)
         assert out.version == 1
 
+    def test_load_of_fetched_never_stored_line(self):
+        # the node owns the line through its L1-I at version 0; the
+        # L1-D miss is served node-locally, not flagged as a lost copy
+        self.driver.ifetch(0, 0x3000)
+        out = self.driver.load(0, 0x3000)
+        assert out.version == 0
+        assert self.driver.hierarchy.stats.get("reads.self_owner") == 1
+
 
 class TestBase3L:
     def test_l2_hit_after_l1_eviction(self):

@@ -109,6 +109,17 @@ class TestPlanMatrix:
         assert not plan_matrix(**self.ARGS).cached  # None defers to env
         assert plan_matrix(fresh=False, **self.ARGS).cached == 1
 
+    def test_worker_environment_cannot_add_telemetry(self, cache,
+                                                     monkeypatch):
+        # the plan says telemetry off; REPRO_TELEMETRY=1 in the worker's
+        # environment must not turn it back on in the record
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        plan = plan_matrix(telemetry=False, **self.ARGS)
+        assert execute_plan(plan, jobs=1, quiet=True) == []
+        assert plan.matrix["water"]["Base-2L"].hists == {}
+        stored = json.loads(plan.pending[0].path.read_text())
+        assert stored["hists"] == {}
+
     def test_get_matrix_equals_plan_plus_execute(self, cache):
         configs = [base_2l(2), d2m_fs(2)]
         via_plan = plan_matrix(workloads=["water"], configs=configs,

@@ -258,6 +258,40 @@ class TestCoalescing:
             assert states.count("simulated") == 1
             assert len(list((cache / "runs").glob("*.json"))) == 1
 
+    def test_run_landing_during_planning_is_not_simulated_twice(
+            self, cache, monkeypatch):
+        # The second job's plan sees the cell pending, but returns only
+        # after the first job's record is on disk: it must still
+        # coalesce onto the first run rather than claim the key anew.
+        import repro.serve.app as app_module
+
+        real_plan = app_module.plan_matrix
+        calls = []
+
+        def plan_then_wait_for_landing(**kwargs):
+            plan = real_plan(**kwargs)
+            calls.append(plan)
+            if len(calls) == 2 and plan.pending:
+                record = plan.pending[0].path
+                deadline = time.monotonic() + DEADLINE_S
+                while not record.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.2)  # room for the owner to release the key
+            return plan
+
+        monkeypatch.setattr(app_module, "plan_matrix",
+                            plan_then_wait_for_landing)
+        slow = dict(MATRIX, instructions=20_000)
+        with Daemon(cache, workers=1, job_concurrency=2) as daemon:
+            first, _ = daemon.submit(slow)
+            second, _ = daemon.submit(slow)
+            settled = [daemon.wait_done(first), daemon.wait_done(second)]
+            for payload in settled:
+                assert payload["state"] == "done", payload["error"]
+            assert calls[1].pending  # the race was set up
+            assert daemon.app.simulations == 1
+            assert settled[1]["cells"][0]["state"] == "coalesced"
+
 
 class TestEndpointLabels:
     def test_labels_stay_low_cardinality(self):

@@ -1,10 +1,11 @@
 """Equivalence tests for the batched fast-path driver (repro.sim.batch).
 
-The contract under test: ``Simulator.run(..., batched=True)`` produces
-bit-identical statistics to the scalar loop — stats tree, energy
-counts, latency buckets, per-core totals, model cycles, and telemetry
-histogram digests — for every system kind, with and without warm-up,
-with and without tracers attached.
+The contract under test: ``Simulator.run`` (the batched driver by
+default) produces bit-identical statistics to the scalar oracle loop
+(``batched=False``) — stats tree, energy counts, latency buckets,
+per-core totals, model cycles, and telemetry histogram digests — for
+every system kind, with and without warm-up, with and without tracers
+attached.
 """
 
 import pytest
@@ -155,8 +156,8 @@ class TestFastPathEngagement:
 
 class TestFallbacks:
     def test_generic_chunker_matches_generate_batch(self):
-        # a workload without generate_batch goes through the scalar
-        # chunker; the stream must be identical either way
+        # a workload without generate_batch goes through the generic
+        # chunker over generate; the stream must be identical either way
         from repro.sim.batch import _chunks_from_scalar
         workload = make_workload("tpcc", 2, seed=5)
         via_batch = [tuple(map(tuple, c))
@@ -167,7 +168,8 @@ class TestFallbacks:
 
     def test_hierarchy_without_handles_falls_back_to_scalar(self):
         # a machine with no fastpath_handles contract must still run
-        # (through the scalar loop) when batched=True is requested
+        # through the default (batched) entry point: run_batched hands
+        # it to the scalar loop directly rather than back to sim.run
         config = base_2l(2)
         hierarchy = build_hierarchy(config)
 
@@ -186,5 +188,5 @@ class TestFallbacks:
         simulator = Simulator(wrapped)
         workload = make_workload("tpcc", config.nodes, hierarchy.amap,
                                  seed=3)
-        result = simulator.run(workload, 400, seed=3, batched=True)
+        result = simulator.run(workload, 400, seed=3)
         assert result.instructions == 400

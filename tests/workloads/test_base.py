@@ -2,7 +2,7 @@
 
 import itertools
 
-from repro.common.types import AccessKind
+from repro.common.types import KIND_CODE
 from repro.mem.address import AddressMap
 from repro.workloads.base import CodeModel, DataMix, SyntheticWorkload
 from repro.workloads.registry import get_spec, make_workload
@@ -75,36 +75,32 @@ class TestSyntheticWorkload:
         assert workload.translate(0, 0x5000) != workload.translate(1, 0x5000)
 
 
-class TestGenerateFast:
-    """The allocation-free generator must replay ``generate`` exactly."""
+class TestGenerateBatch:
+    """The batched driver's chunked stream must replay ``generate``."""
+
+    @staticmethod
+    def _flatten(chunks):
+        return [triple for cores, kinds, vaddrs in chunks
+                for triple in zip(cores, kinds, vaddrs)]
 
     @staticmethod
     def _tuples(stream):
-        # materialize values, not Access objects: generate_fast mutates
-        # and reuses its yielded shells
-        return [(a.core, a.kind, a.vaddr) for a in stream]
+        return [(a.core, KIND_CODE[a.kind], a.vaddr) for a in stream]
 
     def test_matches_reference_stream(self):
         for name in ("water", "tpcc", "mix1"):
             amap = AddressMap()
             ref = self._tuples(
                 make_workload(name, 4, amap, seed=9).generate(1500, seed=9))
-            fast = self._tuples(
-                make_workload(name, 4, amap, seed=9).generate_fast(
-                    1500, seed=9))
-            assert fast == ref, name
+            batch = self._flatten(
+                make_workload(name, 4, amap, seed=9).generate_batch(
+                    1500, seed=9, chunk=97))
+            assert batch == ref, name
 
     def test_matches_with_default_seed(self):
         amap = AddressMap()
         ref = self._tuples(make_workload("water", 2, amap,
                                          seed=5).generate(800))
-        fast = self._tuples(make_workload("water", 2, amap,
-                                          seed=5).generate_fast(800))
-        assert fast == ref
-
-    def test_shells_are_reused(self):
-        workload = make_workload("water", 2, AddressMap(), seed=9)
-        ids = {(a.core, a.kind, id(a))
-               for a in workload.generate_fast(400, seed=9)}
-        # one object per (core, kind), not one per yielded access
-        assert len(ids) <= 2 * len(AccessKind)
+        batch = self._flatten(make_workload("water", 2, amap,
+                                            seed=5).generate_batch(800))
+        assert batch == ref

@@ -6,12 +6,12 @@ checkout without installing the package::
     PYTHONPATH=src python tools/bench_repro.py [--quick] [--out PATH]
     PYTHONPATH=src python tools/bench_repro.py --quick --baseline auto
 
-Exits nonzero when the optimized driver's statistics diverge from the
-reference generator's — the bit-identity gate CI's bench-smoke job
-enforces.  With ``--baseline <file|auto>`` the fresh report is also
-diffed against that baseline bench report (auto = newest committed
-``BENCH_*.json``) and a regression beyond threshold exits 3 — the
-sentinel CI's bench-compare job keys on.
+Exits nonzero when the batched driver's statistics diverge from the
+scalar oracle's — the bit-identity gate CI's bench-smoke job enforces.
+With ``--baseline <file|auto>`` the fresh report is also diffed against
+that baseline bench report (auto = newest committed ``BENCH_*.json``)
+and a regression beyond threshold exits 3 — the sentinel CI's
+bench-compare job keys on.
 """
 
 from __future__ import annotations
