@@ -41,6 +41,7 @@ import sys
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.common.params import SystemConfig, all_configs
+from repro.experiments.records import RunRecord
 from repro.obs import runlog
 from repro.obs.profile import profile_text
 from repro.sim.runner import run_workload
@@ -185,38 +186,45 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_hist(args: argparse.Namespace) -> int:
-    """``repro report --hist``: histogram digests from the run cache."""
+def _cached_record(args: argparse.Namespace,
+                   hint: str = "") -> Optional[RunRecord]:
+    """The cached run record of ``--workload`` on ``--config`` at the
+    requested budget and seed, or None after saying why on stderr."""
     config = _resolve_config(args.config)
     if config is None:
-        return 2
+        return None
+    from repro.experiments.runner import plan_matrix
+
     try:
-        get_spec(args.workload)
+        plan = plan_matrix([args.workload], [config], args.instructions,
+                           args.seed, telemetry=False, fresh=False)
     except KeyError as exc:
         print(exc, file=sys.stderr)
-        return 2
-    from repro.experiments.report import hist_table
-    from repro.experiments.runner import _load_record, run_record_path
-    from repro.sim.runner import instruction_budget, warmup_budget
-
-    budget = args.instructions or instruction_budget()
-    warmup = warmup_budget(budget)
-    record = _load_record(run_record_path(args.workload, config.name, budget,
-                                          args.seed, warmup))
+        return None
+    record = plan.matrix[args.workload].get(config.name)
     if record is None:
         print(f"no cached run record for {args.workload} on {config.name} "
-              f"(instructions={budget}, seed={args.seed}); run "
-              f"`repro sweep --workloads {args.workload}` first",
+              f"(instructions={plan.instructions}, seed={args.seed}); run "
+              f"`repro sweep --workloads {args.workload}{hint}` first",
               file=sys.stderr)
+    return record
+
+
+def _report_hist(args: argparse.Namespace) -> int:
+    """``repro report --hist``: histogram digests from the run cache."""
+    from repro.experiments.report import hist_table
+
+    record = _cached_record(args)
+    if record is None:
         return 2
     if not record.hists:
-        print(f"cached record for {args.workload} on {config.name} has no "
+        print(f"cached record for {args.workload} on {record.config} has no "
               f"histogram telemetry; regenerate it with REPRO_FRESH=1 "
               f"repro sweep --workloads {args.workload}", file=sys.stderr)
         return 2
     print(hist_table(record.hists,
                      title=f"Telemetry histograms: {args.workload} on "
-                           f"{config.name}"))
+                           f"{record.config}"))
     return 0
 
 
@@ -325,29 +333,11 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
                     else payload.get("timeline", {}))
         title = path.name
     else:
-        config = _resolve_config(args.config)
-        if config is None:
-            return 2
-        try:
-            get_spec(args.workload)
-        except KeyError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        from repro.experiments.runner import _load_record, run_record_path
-        from repro.sim.runner import instruction_budget, warmup_budget
-
-        budget = args.instructions or instruction_budget()
-        warmup = warmup_budget(budget)
-        record = _load_record(run_record_path(args.workload, config.name,
-                                              budget, args.seed, warmup))
+        record = _cached_record(args, " --timeline")
         if record is None:
-            print(f"no cached run record for {args.workload} on "
-                  f"{config.name} (instructions={budget}, "
-                  f"seed={args.seed}); run `repro sweep --workloads "
-                  f"{args.workload} --timeline` first", file=sys.stderr)
             return 2
         timeline = record.timeline
-        title = f"{args.workload} on {config.name}"
+        title = f"{args.workload} on {record.config}"
     if not isinstance(timeline, dict) or not timeline:
         print("timeline: the record carries no epoch series; resimulate "
               "with --timeline (REPRO_FRESH=1 forces it)", file=sys.stderr)

@@ -1325,7 +1325,10 @@ class D2MProtocol:
                 # one.  Like a master, the replica moves to a victim
                 # location in the LLC (paper §II: L1 lines get victim
                 # locations in the next level) so reused read-only data —
-                # code above all — keeps being served on-chip.
+                # code above all — keeps being served on-chip.  The LI
+                # leaves the cleared slot first: the allocation may evict
+                # a newer LLC master of this very line (our RP is stale).
+                node.set_li(pregion, idx, LI.mem())
                 ref = self._alloc_llc_slot(node_id, slot.line, pregion,
                                            scramble, prefer_local=True)
                 self.llc.fill(ref, DataLine(

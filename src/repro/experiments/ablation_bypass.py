@@ -16,8 +16,10 @@ from dataclasses import replace
 from typing import Dict
 
 from repro.common.params import d2m_ns
+from repro.experiments.runner import get_matrix
 from repro.experiments.tables import render_table
-from repro.sim.runner import run_workload
+# unused here; perfbench/reproduce.py::checkpoint_each_run patches it
+from repro.sim.runner import run_workload  # noqa: F401
 
 WORKLOADS = ("streamcluster", "radix", "blackscholes")
 
@@ -29,16 +31,17 @@ def run(instructions: int = 0, seed: int = 1) -> Dict[str, Dict[str, float]]:
         name="D2M-NS+bypass",
         policy=replace(plain_cfg.policy, bypass_low_reuse=True),
     )
+    matrix = get_matrix(WORKLOADS, [plain_cfg, bypass_cfg], instructions,
+                        seed)
     out: Dict[str, Dict[str, float]] = {}
     for workload in WORKLOADS:
-        plain = run_workload(plain_cfg, workload, instructions, seed)
-        bypass = run_workload(bypass_cfg, workload, instructions, seed)
+        plain = matrix[workload][plain_cfg.name]
+        bypass = matrix[workload][bypass_cfg.name]
         out[workload] = {
-            "miss_plain": plain.result.miss_ratio(False),
-            "miss_bypass": bypass.result.miss_ratio(False),
-            "bypassed_reads": bypass.hierarchy.stats.get("bypass.reads"),
-            "speedup": (plain.perf.cycles / bypass.perf.cycles
-                        if bypass.perf.cycles else 0.0),
+            "miss_plain": plain.l1d_miss,
+            "miss_bypass": bypass.l1d_miss,
+            "bypassed_reads": bypass.bypass_reads,
+            "speedup": plain.cycles / bypass.cycles if bypass.cycles else 0.0,
             "energy_ratio": (bypass.cache_energy_pj / plain.cache_energy_pj
                              if plain.cache_energy_pj else 0.0),
         }

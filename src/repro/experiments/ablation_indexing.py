@@ -13,8 +13,10 @@ from dataclasses import replace
 from typing import Dict
 
 from repro.common.params import d2m_ns
+from repro.experiments.runner import get_matrix
 from repro.experiments.tables import render_table
-from repro.sim.runner import run_workload
+# unused here; perfbench/reproduce.py::checkpoint_each_run patches it
+from repro.sim.runner import run_workload  # noqa: F401
 
 WORKLOADS = ("lu", "fft")
 
@@ -27,14 +29,16 @@ def run(instructions: int = 0, seed: int = 1) -> Dict[str, Dict[str, float]]:
         name="D2M-NS+idx",
         policy=replace(base_cfg.policy, dynamic_indexing=True),
     )
+    matrix = get_matrix(WORKLOADS, [base_cfg, scrambled_cfg], instructions,
+                        seed)
     for workload in WORKLOADS:
-        plain = run_workload(base_cfg, workload, instructions, seed)
-        scrambled = run_workload(scrambled_cfg, workload, instructions, seed)
+        plain = matrix[workload][base_cfg.name]
+        scrambled = matrix[workload][scrambled_cfg.name]
         out[workload] = {
-            "miss_plain": plain.result.miss_ratio(False),
-            "miss_scrambled": scrambled.result.miss_ratio(False),
-            "speedup": plain.perf.cycles / scrambled.perf.cycles
-            if scrambled.perf.cycles else 0.0,
+            "miss_plain": plain.l1d_miss,
+            "miss_scrambled": scrambled.l1d_miss,
+            "speedup": plain.cycles / scrambled.cycles
+            if scrambled.cycles else 0.0,
             "energy_ratio": (scrambled.cache_energy_pj / plain.cache_energy_pj
                              if plain.cache_energy_pj else 0.0),
         }

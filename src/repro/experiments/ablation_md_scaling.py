@@ -8,42 +8,37 @@ near its ceiling at 1x.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List
 
 from repro.common.params import base_2l, d2m_ns_r
-from repro.experiments.records import record_from_outcome
+from repro.experiments.runner import get_matrix
 from repro.experiments.tables import render_table
-from repro.sim.runner import run_workload
-from repro.workloads.registry import get_spec
+# unused here; perfbench/reproduce.py::checkpoint_each_run patches it
+from repro.sim.runner import run_workload  # noqa: F401
 
-#: representative slice of the sweep (one per suite) to keep the
-#: ablation affordable; REPRO_ABLATION_WORKLOADS overrides.
-DEFAULT_WORKLOADS = ("bodytrack", "lu", "amazon", "mix2", "tpcc")
+#: representative slice of the sweep (one per suite)
+WORKLOADS = ("bodytrack", "lu", "amazon", "mix2", "tpcc")
 
 
 def ablation_workloads() -> List[str]:
-    selection = os.environ.get("REPRO_ABLATION_WORKLOADS", "")
-    if selection:
-        return [w.strip() for w in selection.split(",") if w.strip()]
-    return list(DEFAULT_WORKLOADS)
+    return list(WORKLOADS)
 
 
 def run(instructions: int = 0, seed: int = 1) -> Dict[int, Dict[str, float]]:
     workloads = ablation_workloads()
-    baseline_cycles = {}
-    for workload in workloads:
-        outcome = run_workload(base_2l(), workload, instructions, seed)
-        baseline_cycles[workload] = outcome.perf.cycles
+    baseline = base_2l()
+    scaled = {factor: d2m_ns_r().with_md_scale(factor) if factor > 1
+              else d2m_ns_r() for factor in (1, 2, 4)}
+    matrix = get_matrix(workloads, [baseline, *scaled.values()],
+                        instructions, seed)
 
     out: Dict[int, Dict[str, float]] = {}
-    for factor in (1, 2, 4):
-        config = d2m_ns_r().with_md_scale(factor) if factor > 1 else d2m_ns_r()
+    for factor, config in scaled.items():
         speedups, direct = [], []
         for workload in workloads:
-            outcome = run_workload(config, workload, instructions, seed)
-            rec = record_from_outcome(outcome, get_spec(workload).category)
-            speedups.append(baseline_cycles[workload] / rec.cycles)
+            rec = matrix[workload][config.name]
+            speedups.append(matrix[workload][baseline.name].cycles
+                            / rec.cycles)
             direct.append(rec.direct_ns_fraction)
         out[factor] = {
             "speedup": sum(speedups) / len(speedups),

@@ -8,13 +8,12 @@ cached on disk and shared across all experiment harnesses.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict
-
-from repro.common.types import HitLevel
+from typing import Dict, FrozenSet
 
 #: every scalar metric field of :class:`RunRecord`, in declaration order —
 #: the flat-diffable surface consumed by ``repro.obs.compare`` (events and
 #: histogram digests are structured and diffed separately).
+#: ``bypass_reads`` stays out: it only feeds the §I bypass ablation.
 SCALAR_METRICS = (
     "msgs_per_ki",
     "d2m_msgs_per_ki",
@@ -41,6 +40,11 @@ SCALAR_METRICS = (
     "mem_reads_redirected",
     "direct_ns_fraction",
 )
+
+#: optional payloads of a run: the RunSpec flag that requests each ->
+#: the RunRecord field that carries it (truthy once the run did it)
+FACETS = {"sanitize": "sanitized", "check_invariants": "invariants_checked",
+          "telemetry": "hists", "profile": "profile", "timeline": "timeline"}
 
 
 @dataclass
@@ -86,6 +90,7 @@ class RunRecord:
     md_misses: float = 0.0
     mem_reads_redirected: float = 0.0
     direct_ns_fraction: float = 0.0  # MD1-hit accesses (footnote-5 metric)
+    bypass_reads: float = 0.0     # reads served without an L1 install (§I)
 
     # correctness-checking provenance (sanitizer / invariant walk)
     sanitized: bool = False           # ran with the coherence sanitizer
@@ -107,6 +112,11 @@ class RunRecord:
 
     def to_json(self) -> dict:
         return asdict(self)
+
+    def facets(self) -> FrozenSet[str]:
+        """The :data:`FACETS` this record carries, by request name."""
+        return frozenset(ask for ask, held in FACETS.items()
+                         if getattr(self, held))
 
     def scalar_metrics(self) -> Dict[str, float]:
         """The flat ``{name: value}`` view diffed by ``repro compare``."""
@@ -162,6 +172,7 @@ def record_from_outcome(outcome, category: str) -> RunRecord:
         md_misses=stats.get("md.misses"),
         mem_reads_redirected=stats.get("mem_reads_redirected"),
         direct_ns_fraction=md1 / accesses if accesses else 0.0,
+        bypass_reads=stats.get("bypass.reads"),
         sanitized=outcome.sanitized,
         invariants_checked=outcome.invariants_checked,
         invariants_ok=outcome.invariants_ok,
@@ -170,7 +181,3 @@ def record_from_outcome(outcome, category: str) -> RunRecord:
         profile=outcome.profile_summary(),
         timeline=outcome.timeline_summary(),
     )
-
-
-#: hit levels counted as "LLC-level" service points (Table IV NS ratios)
-LLC_LEVELS = (HitLevel.LLC_LOCAL, HitLevel.LLC_REMOTE)

@@ -2,13 +2,13 @@
 
 Every figure and table consumes the same (workload x system) matrix.
 Each finished run is persisted as its own record file under
-``.repro_cache/runs/<key>.json`` — keyed by workload, config name,
-instruction budget, seed, warm-up budget, and the record format version
-— and the matrix is assembled from those files on load.  A partial or
-interrupted sweep therefore reuses every completed run, and adding one
-workload re-simulates only the new runs.  Writes are atomic
-(``tempfile`` + ``os.replace``) and an unreadable or truncated entry is
-treated as a miss, never a crash.
+``.repro_cache/runs/<key>.json`` — keyed by the workload, the system
+configuration's full contents, instruction budget, seed, warm-up budget,
+and the record format version — and the matrix is assembled from those
+files on load.  A partial or interrupted sweep therefore reuses every
+completed run, and adding one workload re-simulates only the new runs.
+Writes are atomic (``tempfile`` + ``os.replace``) and an unreadable or
+truncated entry is treated as a miss, never a crash.
 
 Runs that are not cached fan out over worker processes
 (:mod:`repro.sim.parallel`); ``REPRO_JOBS`` or the ``jobs`` argument set
@@ -17,6 +17,8 @@ the worker count and ``REPRO_FRESH=1`` forces a full re-run.
 
 from __future__ import annotations
 
+import enum
+import functools
 import hashlib
 import io
 import json
@@ -24,12 +26,12 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.common.params import SystemConfig, all_configs
-from repro.experiments.records import RunRecord, record_from_outcome
+from repro.experiments.records import FACETS, RunRecord, record_from_outcome
 from repro.obs import runlog
 from repro.obs.progress import SweepProgress
 from repro.sim.parallel import RunFailure, execute_runs
@@ -44,9 +46,9 @@ from repro.workloads.registry import CATEGORIES, get_spec, workload_names
 #: matrix type: matrix[workload][config_name] -> RunRecord
 Matrix = Dict[str, Dict[str, RunRecord]]
 
-#: bump when RunRecord's schema or the simulation semantics change
-#: (9: epoch time-series timeline joined the record)
-RUN_FORMAT = 9
+#: bump when RunRecord's schema, the key or the simulation semantics
+#: change (10: keys address the full config contents; bypass_reads)
+RUN_FORMAT = 10
 
 #: a ``<key>.json.*.tmp`` file older than this is crash litter, not an
 #: in-flight atomic write (writes complete in milliseconds)
@@ -92,33 +94,37 @@ def runs_dir() -> Path:
     return path
 
 
-def run_cache_key(workload: str, config_name: str, instructions: int,
-                  seed: int, warmup: int) -> str:
+@functools.lru_cache(maxsize=256)
+def _config_contents(config: SystemConfig) -> str:
+    """Canonical JSON of every field of ``config`` but its name."""
+    contents = asdict(config, dict_factory=lambda items: {
+        key: value.value if isinstance(value, enum.Enum) else value
+        for key, value in items})
+    del contents["name"]
+    return json.dumps(contents, sort_keys=True)
+
+
+def run_cache_key(workload: str, config: Union[SystemConfig, str],
+                  instructions: int, seed: int, warmup: int) -> str:
     """Key of one run record: every input that determines its numbers.
 
+    ``config`` contributes its full contents (node count, geometries,
+    latencies, policy knobs); its name is a display label and does not.
+    A bare name stands for that paper system at the default node count.
     The key doubles as the record's content address on disk and as the
     serving layer's ETag / coalescing identity.
     """
+    if isinstance(config, str):
+        config = {c.name: c for c in all_configs()}[config]
     text = json.dumps({
         "workload": workload,
-        "config": config_name,
+        "config": _config_contents(config),
         "instructions": instructions,
         "seed": seed,
         "warmup": warmup,
         "format": RUN_FORMAT,
     }, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:24]
-
-
-#: backward-compatible alias (tests and older callers)
-_cache_key = run_cache_key
-
-
-def run_record_path(workload: str, config_name: str, instructions: int,
-                    seed: int, warmup: int) -> Path:
-    return runs_dir() / (
-        run_cache_key(workload, config_name, instructions, seed, warmup)
-        + ".json")
 
 
 def _load_record(path: Path) -> Optional[RunRecord]:
@@ -144,10 +150,6 @@ def atomic_write_json(path: Path, payload: dict) -> None:
         except OSError:
             pass
         raise
-
-
-#: backward-compatible alias
-_atomic_write_json = atomic_write_json
 
 
 def reap_orphan_tmp(directory: Optional[Path] = None,
@@ -239,10 +241,10 @@ def plan_matrix(workloads: Optional[Iterable[str]] = None,
     """Split a matrix request into cached records and pending runs.
 
     Loads every already-cached record into ``plan.matrix`` and lists the
-    rest as :class:`PendingRun`s.  A cached record that lacks a
-    requested check (``sanitize``/``check_invariants``/``telemetry``/
-    ``profile``) — or lacks the epoch time-series when ``timeline`` (an
-    epoch length) is requested — is a miss.  ``fresh=None`` defaults
+    rest as :class:`PendingRun`s.  A cached record is a hit only when the
+    facets requested (``sanitize``/``check_invariants``/``telemetry``/
+    ``profile``/``timeline``, see :data:`~repro.experiments.records.FACETS`)
+    are a subset of the facets it carries.  ``fresh=None`` defaults
     from ``REPRO_FRESH``;
     ``warmup=None`` derives the warm-up budget from ``REPRO_WARMUP`` or
     the default fraction, while an explicit value pins the cache keys
@@ -262,24 +264,17 @@ def plan_matrix(workloads: Optional[Iterable[str]] = None,
     for workload in workload_list:
         get_spec(workload)  # unknown workloads fail before any simulation
         for config in config_list:
-            key = run_cache_key(workload, config.name, budget, seed, warmup)
+            key = run_cache_key(workload, config, budget, seed, warmup)
             path = runs_dir() / (key + ".json")
+            spec = RunSpec(config, workload, budget, seed, warmup=warmup,
+                           sanitize=sanitize, sanitize_every=sanitize_every,
+                           check_invariants=check_invariants,
+                           telemetry=telemetry, profile=profile,
+                           timeline=timeline)
             record = None if fresh else _load_record(path)
-            if record is not None and ((sanitize and not record.sanitized) or
-                                       (check_invariants
-                                        and not record.invariants_checked) or
-                                       (telemetry and not record.hists) or
-                                       (profile and not record.profile) or
-                                       (timeline and not record.timeline)):
-                record = None  # cached run skipped a requested check
-            if record is None:
-                plan.pending.append(PendingRun(
-                    RunSpec(config, workload, budget, seed, warmup=warmup,
-                            sanitize=sanitize, sanitize_every=sanitize_every,
-                            check_invariants=check_invariants,
-                            telemetry=telemetry, profile=profile,
-                            timeline=timeline),
-                    path, key))
+            requested = {ask for ask in FACETS if getattr(spec, ask)}
+            if record is None or not requested <= record.facets():
+                plan.pending.append(PendingRun(spec, path, key))
             else:
                 plan.matrix[workload][config.name] = record
     return plan
@@ -374,16 +369,13 @@ def get_matrix(workloads: Optional[Iterable[str]] = None,
     :class:`SweepError` listing the failures is raised at the end.
 
     ``sanitize``/``check_invariants`` attach the coherence sanitizer /
-    run a final-state invariant walk on each simulated run.  A sanitized
-    run produces identical statistics, so its record also serves
-    unchecked sweeps — but a cached record that *lacks* a requested
-    check is treated as a miss and re-simulated.  ``telemetry`` (default
-    on: neither it nor the sanitizer perturbs a run's statistics) stores
-    histogram percentile digests on each record; like the checks, a
-    cached record without them is a miss when they are requested.
-    ``profile`` runs each simulation under the slow-tail attribution
-    profiler (:mod:`repro.obs.profile`) and persists its digest on the
-    record — statistics stay bit-identical; only wall-time attribution
+    run a final-state invariant walk on each simulated run.
+    ``telemetry`` (default on) stores histogram percentile digests on
+    each record.  None of these payloads perturbs a run's statistics, so
+    a record serves every request whose payloads it carries (see
+    :func:`plan_matrix`).  ``profile`` runs each simulation under the
+    slow-tail attribution profiler (:mod:`repro.obs.profile`) and
+    persists its digest on the record — statistics stay bit-identical; only wall-time attribution
     is added.  ``timeline`` (an epoch length in accesses, 0 = off)
     samples per-epoch stat deltas (:mod:`repro.obs.timeline`) onto each
     record, also without perturbing the statistics.

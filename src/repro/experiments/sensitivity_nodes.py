@@ -12,8 +12,10 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.common.params import base_2l, d2m_ns_r
+from repro.experiments.runner import get_matrix
 from repro.experiments.tables import render_table
-from repro.sim.runner import run_workload
+# unused here; perfbench/reproduce.py::checkpoint_each_run patches it
+from repro.sim.runner import run_workload  # noqa: F401
 
 NODE_COUNTS = (2, 4, 8)
 WORKLOADS = ("bodytrack", "tpcc")
@@ -22,11 +24,14 @@ WORKLOADS = ("bodytrack", "tpcc")
 def run(instructions: int = 0, seed: int = 1) -> Dict[int, Dict[str, float]]:
     out: Dict[int, Dict[str, float]] = {}
     for nodes in NODE_COUNTS:
+        # one matrix per node count: a matrix row is keyed by config name
+        matrix = get_matrix(WORKLOADS, [base_2l(nodes), d2m_ns_r(nodes)],
+                            instructions, seed)
         speedups, traffic = [], []
         for workload in WORKLOADS:
-            base = run_workload(base_2l(nodes), workload, instructions, seed)
-            d2m = run_workload(d2m_ns_r(nodes), workload, instructions, seed)
-            speedups.append(base.perf.cycles / d2m.perf.cycles)
+            base = matrix[workload]["Base-2L"]
+            d2m = matrix[workload]["D2M-NS-R"]
+            speedups.append(base.cycles / d2m.cycles)
             if base.msgs_per_ki:
                 traffic.append(d2m.msgs_per_ki / base.msgs_per_ki)
         out[nodes] = {

@@ -132,7 +132,7 @@ def build_cells(request: Dict[str, object],
     seed = int(request["seed"])  # type: ignore[arg-type]
     warmup = int(request["warmup"])  # type: ignore[arg-type]
     return [JobCell(workload=workload, config=config.name,
-                    key=run_cache_key(workload, config.name, instructions,
+                    key=run_cache_key(workload, config, instructions,
                                       seed, warmup))
             for workload in request["workloads"]  # type: ignore[union-attr]
             for config in configs]

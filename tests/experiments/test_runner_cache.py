@@ -1,12 +1,13 @@
 """Per-run sweep cache: key sensitivity, hit/miss, recovery, parallelism."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 import repro.experiments.runner as runner
-from repro.common.params import base_2l, d2m_fs
-from repro.experiments.runner import SweepError, _cache_key, get_matrix
+from repro.common.params import base_2l, d2m_fs, d2m_ns
+from repro.experiments.runner import SweepError, get_matrix, run_cache_key
 
 
 @pytest.fixture
@@ -23,24 +24,37 @@ def run_files(cache):
 
 
 class TestCacheKey:
-    BASE = dict(workload="water", config_name="Base-2L",
-                instructions=1_000, seed=5, warmup=500)
+    BASE = dict(workload="water", config=d2m_ns(), instructions=1_000,
+                seed=5, warmup=500)
 
     def key(self, **overrides):
-        return _cache_key(**{**self.BASE, **overrides})
+        return run_cache_key(**{**self.BASE, **overrides})
 
     def test_stable(self):
         assert self.key() == self.key()
 
     @pytest.mark.parametrize("field,value", [
         ("workload", "lu"),
-        ("config_name", "D2M-FS"),
+        pytest.param("config", d2m_fs(), id="config-D2M-FS"),
+        # same name, other contents: each is a different record
+        pytest.param("config", d2m_ns(2), id="config-nodes"),
+        pytest.param("config", replace(d2m_ns(), policy=replace(
+            d2m_ns().policy, bypass_low_reuse=True)), id="config-policy"),
+        pytest.param("config", replace(d2m_ns().with_md_scale(2),
+                                       name="D2M-NS"), id="config-md_scale"),
         ("instructions", 2_000),
         ("seed", 6),
         ("warmup", 100),
     ])
     def test_sensitive_to_every_input(self, field, value):
         assert self.key(**{field: value}) != self.key()
+
+    def test_name_is_only_a_label(self):
+        assert self.key(config=replace(d2m_ns(), name="other")) == self.key()
+
+    def test_bare_name_is_the_paper_system(self):
+        assert self.key(config="D2M-NS") == self.key()
+        assert self.key(config="D2M-NS") != self.key(config=d2m_ns(4))
 
     def test_warmup_env_changes_selection(self, cache, monkeypatch):
         """REPRO_WARMUP is part of the key: no stale-matrix reuse."""

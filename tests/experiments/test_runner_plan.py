@@ -4,11 +4,12 @@ import json
 import os
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 import repro.experiments.runner as runner
-from repro.common.params import base_2l, d2m_fs
+from repro.common.params import base_2l, d2m_fs, d2m_ns
 from repro.experiments.runner import (
     TMP_ORPHAN_AGE_S,
     execute_plan,
@@ -79,7 +80,7 @@ class TestPlanMatrix:
         plan = plan_matrix(**self.ARGS)
         assert plan.total == 1 and plan.cached == 0
         [item] = plan.pending
-        assert item.key == run_cache_key("water", "Base-2L", 1_000, 5,
+        assert item.key == run_cache_key("water", base_2l(2), 1_000, 5,
                                          plan.warmup)
         assert item.path.name == item.key + ".json"
         assert execute_plan(plan, jobs=1, quiet=True) == []
@@ -108,6 +109,26 @@ class TestPlanMatrix:
         monkeypatch.setenv("REPRO_FRESH", "1")
         assert not plan_matrix(**self.ARGS).cached  # None defers to env
         assert plan_matrix(fresh=False, **self.ARGS).cached == 1
+
+    def test_other_node_count_is_pending(self, cache):
+        """Regression: keys hashed the config name, so a 2-node request
+        was served the 8-node record of the same name."""
+        cell = dict(workloads=["water"], instructions=500, seed=3)
+        plan = plan_matrix(configs=[base_2l(8)], **cell)
+        assert execute_plan(plan, jobs=1, quiet=True) == []
+        small = plan_matrix(configs=[base_2l(2)], **cell)
+        assert len(small.pending) == 1 and small.matrix["water"] == {}
+
+    def test_name_preserving_policy_variant_is_pending(self, cache):
+        plain = d2m_ns(2)
+        variant = replace(plain, policy=replace(plain.policy,
+                                                bypass_low_reuse=True))
+        assert variant.name == plain.name
+        cell = dict(workloads=["water"], instructions=500, seed=3)
+        plan = plan_matrix(configs=[plain], **cell)
+        assert execute_plan(plan, jobs=1, quiet=True) == []
+        assert plan_matrix(configs=[plain], **cell).cached == 1
+        assert len(plan_matrix(configs=[variant], **cell).pending) == 1
 
     def test_worker_environment_cannot_add_telemetry(self, cache,
                                                      monkeypatch):

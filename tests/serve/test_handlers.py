@@ -98,6 +98,17 @@ class TestBuildCells:
             assert cell.key == run_cache_key("water", cell.config,
                                              1_000, 5, 400)
 
+    def test_node_count_changes_keys(self):
+        """Regression: a 2-node request used to share the 8-node keys."""
+        keys = {}
+        for nodes in (2, 8):
+            request, configs = parse_submission({
+                "workloads": ["water"], "configs": ["Base-2L"],
+                "nodes": nodes, "instructions": 1_000, "seed": 5})
+            [cell] = build_cells(request, configs)
+            keys[nodes] = cell.key
+        assert keys[2] != keys[8]
+
 
 class TestJobPayload:
     def request(self):

@@ -23,8 +23,9 @@ the geometry, so its periodic tick fires within a stream.
 
 from dataclasses import replace
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro.common.params import d2m_fs
 from repro.common.types import Access, AccessKind
 from repro.core.hierarchy import build_hierarchy
 from repro.mem.address import AddressSpace, PageAllocator
@@ -236,6 +237,13 @@ def _check(config, run, chunk, paged, telemetry):
 @SETTINGS
 @given(config=d2m_configs, run=runs, chunk=chunks, paged=st.booleans(),
        telemetry=st.booleans())
+# Found by this test: an L1 replica whose RP went stale (MEM) after the
+# other sharer's bypassed read refilled the line's LLC master, evicted
+# into an LLC slot that displaced that very master.
+@example(config=_ablated(_shrunk(d2m_fs, 2, 1), 1, True, False),
+         run=_with_warmup([], _shared_stream(64, 1, (0, 1))
+                          + _shared_stream(65, 1, (0, 1))),
+         chunk=1, paged=False, telemetry=False)
 def test_d2m_batched_matches_scalar_oracle(config, run, chunk, paged,
                                            telemetry):
     _check(config, run, chunk, paged, telemetry)
