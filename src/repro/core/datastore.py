@@ -14,6 +14,10 @@ Every slot carries the paper's per-line eviction metadata:
   victim location of a master living in some node).
 * ``rp`` — the Replacement Pointer: for a master, the victim location
   that becomes master on eviction; for a replica, the master's location.
+
+Like :class:`~repro.mem.sram.SetAssocStore`, an array creates a set's
+slot row and LRU order at the set's first fill; until then the set reads
+as all-empty ways in the initial LRU order.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.common.errors import InvariantViolation
 from repro.core.li import LI
+from repro.mem.sram import LazyRows
 
 _SCRAMBLE_SPREAD = 0x9E37  # multiplicative spread for the index scramble
 
@@ -61,11 +66,11 @@ class DataArray:
         self.name = name
         self.sets = sets
         self.ways = ways
-        self._slots: List[List[Optional[DataLine]]] = [
-            [None] * ways for _ in range(sets)
-        ]
-        # LRU order per set: least recent first.
-        self._lru: List[List[int]] = [list(range(ways)) for _ in range(sets)]
+        # Per-set slot rows and LRU orders (least recent first), both
+        # created at the set's first fill; an untouched set reads as the
+        # immutable empty row and initial order.
+        self._slots: LazyRows = LazyRows((None,) * ways)
+        self._lru: LazyRows = LazyRows(tuple(range(ways)))
         # region -> occupied (set, way) slots, for O(present) forced evictions.
         self._by_region: dict = {}
         self.replacements = 0  # pressure signal for the NS-LLC policy
@@ -84,7 +89,10 @@ class DataArray:
         set_mask][way]`` (the :meth:`set_of`/:meth:`expect` pair) and
         replays :meth:`touch` by hand on the ``lru`` order lists; any
         slot/line mismatch must fall back to the full machine, which
-        raises the same invariant violation :meth:`expect` would.
+        raises the same invariant violation :meth:`expect` would.  Both
+        are :class:`LazyRows`: an untouched set indexes as an empty row
+        (so it never matches) and an immutable order, which the fast path
+        only reaches after a match.
         """
         return self._slots, self._lru, self.sets - 1
 
@@ -104,11 +112,14 @@ class DataArray:
         return slot
 
     def put(self, set_idx: int, way: int, data: DataLine) -> None:
-        if self._slots[set_idx][way] is not None:
+        row = self._slots.get(set_idx)
+        if row is None:
+            row = self._materialise(set_idx)
+        elif row[way] is not None:
             raise InvariantViolation(
                 f"{self.name}[{set_idx}][{way}]: overwriting a valid slot"
             )
-        self._slots[set_idx][way] = data
+        row[way] = data
         self._by_region.setdefault(data.region, set()).add((set_idx, way))
         self.touch(set_idx, way)
 
@@ -130,8 +141,19 @@ class DataArray:
         order = self._lru[set_idx]
         # Re-touching the MRU way (the hot-path common case) is a no-op.
         if order[-1] != way:
+            if set_idx not in self._lru:
+                self._materialise(set_idx)
+                order = self._lru[set_idx]
             order.remove(way)
             order.append(way)
+
+    def _materialise(self, set_idx: int) -> List[Optional[DataLine]]:
+        if not 0 <= set_idx < self.sets:
+            raise IndexError(f"{self.name}: set {set_idx} out of range")
+        row: List[Optional[DataLine]] = [None] * self.ways
+        self._slots[set_idx] = row
+        self._lru[set_idx] = list(range(self.ways))
+        return row
 
     # -- victim selection -----------------------------------------------------------
 
@@ -181,8 +203,10 @@ class DataArray:
     # -- inspection -----------------------------------------------------------
 
     def __iter__(self) -> Iterator[Tuple[int, int, DataLine]]:
-        for set_idx, row in enumerate(self._slots):
-            for way, slot in enumerate(row):
+        """Resident slots in ascending (set, way) order."""
+        slots = self._slots
+        for set_idx in sorted(slots):
+            for way, slot in enumerate(slots[set_idx]):
                 if slot is not None:
                     yield set_idx, way, slot
 

@@ -6,7 +6,9 @@ metadata and data structures and assert:
 1. **Deterministic LI** — every valid LI in every node's active metadata
    points at a slot that holds the named line (local arrays and LLC), or
    at memory whose copy is current (no dirty master elsewhere), or at a
-   remote node that masters the line locally.
+   remote node that masters the line locally.  A local copy's RP into
+   the LLC — where the LI falls back when the copy leaves — is held to
+   the same rule.
 2. **Metadata inclusion** — every line in a node's arrays belongs to a
    region the node has an MD2 entry for; every MD1 entry has MD2 backing;
    every MD2 entry's region is PB-marked in MD3; every LLC-resident
@@ -230,8 +232,11 @@ def _check_location_information(protocol: D2MProtocol, pregion: int) -> None:
                         f"line {line:#x}, whose own LI is {remote_li}"
                     )
                 continue
-            # Deterministic pointer into an array: must hold the line.
-            _resolve_li(protocol, node, li, line, holder.scramble)
+            # Deterministic pointer into an array: must hold the line,
+            # and so must the LLC slot a local copy falls back to.
+            slot = _resolve_li(protocol, node, li, line, holder.scramble)
+            if li.is_local_cache and slot.rp is not None and slot.rp.is_llc:
+                _resolve_li(protocol, node, slot.rp, line, holder.scramble)
 
 
 def _check_private_classification(protocol: D2MProtocol,

@@ -606,7 +606,10 @@ class D2MProtocol:
                             role=LineRole.REPLICA, rp=li)
         self._install_local(node_id, kind.is_instruction, pregion, idx,
                             incoming, scramble)
-        if not local and slot.is_master and self._should_replicate(kind, was_mru):
+        # (Only while the master is still where it was read: the install's
+        # evictions may have released its slot and moved the RP on.)
+        if (not local and slot.is_master and incoming.rp == li
+                and self._should_replicate(kind, was_mru)):
             self._chain_local_replica(node_id, kind, pregion, idx, line,
                                       scramble, version, master=li)
             self.stats.add("ns.replications")
@@ -1275,8 +1278,17 @@ class D2MProtocol:
         )
         occupant = array.get(set_idx, way)
         if occupant is not None:
+            holder = node.active_holder(pregion)
+            fallback = holder.li[idx]
             array.clear(set_idx, way)
             self._handle_local_eviction(node_id, array, occupant)
+            # The victim's rehoming may have released the very LLC slot
+            # the incoming copy falls back to (its RP is the LI it was
+            # read through).  Whoever released it repointed that LI at
+            # the next copy down, so the RP follows it.
+            moved = holder.li[idx]
+            if incoming.rp == fallback and moved != fallback:
+                incoming.rp = moved
         array.put(set_idx, way, incoming)
         node.set_li(pregion, idx, LI.in_l1(way, instr))
         if self._bypass_enabled:

@@ -2,12 +2,7 @@
 
 from repro.mem.address import AddressMap, AddressSpace
 from repro.mem.sram import SetAssocStore
-from repro.mem.replacement import (
-    LRUPolicy,
-    PseudoLRUPolicy,
-    RandomPolicy,
-    make_policy,
-)
+from repro.mem.replacement import LRUPolicy
 from repro.mem.tlb import TwoLevelTLB
 from repro.mem.mainmem import MainMemory
 
@@ -16,9 +11,6 @@ __all__ = [
     "AddressSpace",
     "SetAssocStore",
     "LRUPolicy",
-    "PseudoLRUPolicy",
-    "RandomPolicy",
-    "make_policy",
     "TwoLevelTLB",
     "MainMemory",
 ]

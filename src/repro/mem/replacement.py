@@ -1,56 +1,41 @@
-"""Replacement policies for set-associative structures.
+"""LRU replacement for set-associative structures.
 
 A policy instance manages one set of ``ways`` slots identified by way
-index.  Policies are deliberately tiny state machines so hypothesis can
-drive them hard in the property tests.
+index.  It is deliberately a tiny state machine so hypothesis can drive
+it hard in the property tests.  Every tagged array in the package
+replaces by true LRU (paper Table III); the batched driver inlines
+:meth:`LRUPolicy.touch` on its hit path.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 
-class ReplacementPolicy:
-    """Interface: track touches and nominate victims for one set."""
+class LRUPolicy:
+    """True LRU via an ordered list (most recent at the end)."""
 
     def __init__(self, ways: int) -> None:
         if ways <= 0:
             raise ValueError("ways must be positive")
         self.ways = ways
-
-    def touch(self, way: int) -> None:
-        """Record a use of ``way`` (hit or fill)."""
-        raise NotImplementedError
-
-    def victim(self, protected: Optional[Iterable[int]] = None) -> int:
-        """Pick a way to evict, avoiding ``protected`` ways when possible."""
-        raise NotImplementedError
-
-    def _check_way(self, way: int) -> None:
-        if not 0 <= way < self.ways:
-            raise ValueError(f"way {way} out of range [0,{self.ways})")
-
-
-class LRUPolicy(ReplacementPolicy):
-    """True LRU via an ordered list (most recent at the end)."""
-
-    def __init__(self, ways: int) -> None:
-        super().__init__(ways)
         self._order: List[int] = list(range(ways))
 
     def touch(self, way: int) -> None:
+        """Record a use of ``way`` (hit or fill)."""
         order = self._order
         # Re-touching the MRU way is the common case on the hot path and
         # a no-op; ``order`` only ever holds valid ways, so matching its
         # tail also implies the bounds check passed.
         if order[-1] == way:
             return
-        self._check_way(way)
+        if not 0 <= way < self.ways:
+            raise ValueError(f"way {way} out of range [0,{self.ways})")
         order.remove(way)
         order.append(way)
 
     def victim(self, protected: Optional[Iterable[int]] = None) -> int:
+        """The least recent way, avoiding ``protected`` ways when possible."""
         banned = set(protected) if protected else set()
         for way in self._order:
             if way not in banned:
@@ -65,97 +50,3 @@ class LRUPolicy(ReplacementPolicy):
     def lru_order(self) -> List[int]:
         """Ways ordered least- to most-recently used (for tests)."""
         return list(self._order)
-
-
-class PseudoLRUPolicy(ReplacementPolicy):
-    """Tree pseudo-LRU; cheap approximation used for wide LLC sets."""
-
-    def __init__(self, ways: int) -> None:
-        super().__init__(ways)
-        if ways & (ways - 1):
-            raise ValueError("pseudo-LRU requires a power-of-two way count")
-        self._bits = [False] * max(ways - 1, 1)
-        self._last_touched = 0
-
-    def touch(self, way: int) -> None:
-        self._check_way(way)
-        self._last_touched = way
-        node, low, high = 0, 0, self.ways
-        while high - low > 1:
-            mid = (low + high) // 2
-            went_right = way >= mid
-            self._bits[node] = not went_right  # point away from the touched half
-            node = 2 * node + (2 if went_right else 1)
-            if went_right:
-                low = mid
-            else:
-                high = mid
-
-    def _walk(self) -> int:
-        node, low, high = 0, 0, self.ways
-        while high - low > 1:
-            mid = (low + high) // 2
-            go_right = self._bits[node]
-            node = 2 * node + (2 if go_right else 1)
-            if go_right:
-                low = mid
-            else:
-                high = mid
-        return low
-
-    def victim(self, protected: Optional[Iterable[int]] = None) -> int:
-        banned = set(protected) if protected else set()
-        choice = self._walk()
-        if choice not in banned:
-            return choice
-        for way in range(self.ways):
-            if way not in banned:
-                return way
-        return choice
-
-    def mru_way(self) -> int:
-        return self._last_touched
-
-
-class RandomPolicy(ReplacementPolicy):
-    """Seeded random replacement (deterministic per instance)."""
-
-    def __init__(self, ways: int, seed: int = 0) -> None:
-        super().__init__(ways)
-        self._rng = random.Random(seed)
-        self._last_touched = 0
-
-    def touch(self, way: int) -> None:
-        self._check_way(way)
-        self._last_touched = way
-
-    def victim(self, protected: Optional[Iterable[int]] = None) -> int:
-        banned = set(protected) if protected else set()
-        candidates = [w for w in range(self.ways) if w not in banned]
-        if not candidates:
-            candidates = list(range(self.ways))
-        return self._rng.choice(candidates)
-
-    def mru_way(self) -> int:
-        return self._last_touched
-
-
-PolicyFactory = Callable[[int], ReplacementPolicy]
-
-
-def make_policy(name: str, seed: int = 0) -> PolicyFactory:
-    """Factory-of-factories: ``make_policy('lru')(ways) -> policy``."""
-    name = name.lower()
-    if name == "lru":
-        return LRUPolicy
-    if name in ("plru", "pseudo-lru"):
-        return PseudoLRUPolicy
-    if name == "random":
-        counter = [seed]
-
-        def build(ways: int) -> ReplacementPolicy:
-            counter[0] += 1
-            return RandomPolicy(ways, seed=counter[0])
-
-        return build
-    raise ValueError(f"unknown replacement policy: {name!r}")

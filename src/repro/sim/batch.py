@@ -44,7 +44,7 @@ tracer hooks are no-ops on the hit path).
 from __future__ import annotations
 
 from time import perf_counter_ns as _perf_ns
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import TraceError
 from repro.common.types import (
@@ -56,7 +56,6 @@ from repro.common.types import (
 )
 from repro.core.datastore import _SCRAMBLE_SPREAD, LineRole
 from repro.core.li import LIKind
-from repro.mem.replacement import LRUPolicy
 from repro.sim.simulator import LatencyBucket, SimResult
 
 #: flush granularity (accesses per chunk)
@@ -96,18 +95,6 @@ def _chunk_stream(workload: Any, total: int, seed: int,
     if gen_batch is not None:
         return gen_batch(total, seed, chunk)
     return _chunks_from_scalar(workload, total, seed, chunk)
-
-
-def _lru_orders(policies: Sequence[Any]) -> Optional[List[List[int]]]:
-    """Per-set ``_order`` lists when every policy is plain LRU, else None.
-
-    The hot loop inlines the LRU touch (MRU early-out + remove/append);
-    a store with any other policy is simply not fast-pathed, keeping the
-    inlined touch exactly equivalent to ``LRUPolicy.touch``.
-    """
-    if all(type(p) is LRUPolicy for p in policies):
-        return [p._order for p in policies]
-    return None
 
 
 def _shells(nodes: int) -> Tuple[List[Access], List[Access], List[Access]]:
@@ -197,10 +184,10 @@ def _drive_d2m(sim: Any, workload: Any, machine: Any, handles: Dict[str, Any],
     l1d_slots = [v[3][0] for v in node_views]
     l1d_lru = [v[3][1] for v in node_views]
     l1d_mask = [v[3][2] for v in node_views]
-    mi_orders = [_lru_orders(v[0][1]) for v in node_views]
-    md_orders = [_lru_orders(v[1][1]) for v in node_views]
-    if any(o is None for o in mi_orders) or any(o is None for o in md_orders):
-        fast_ok = False
+    # Per-set LRU policies of both MD1s (filled sets only; a hit's set
+    # always is).  The hot loop inlines ``LRUPolicy.touch`` on ``_order``.
+    mi_pols = [v[0][1] for v in node_views]
+    md_pols = [v[1][1] for v in node_views]
 
     lat_fast = handles["lat_fast"]
     idx_mask = handles["idx_mask"]
@@ -359,8 +346,8 @@ def _drive_d2m(sim: Any, workload: Any, machine: Any, handles: Dict[str, Any],
                                 and (kcode != 2
                                      or slot.role is role_master)):
                             # -- commit: the scalar hit path's effects.
-                            ordm = (md_orders if kcode
-                                    else mi_orders)[core][loc[0]]
+                            ordm = (md_pols if kcode
+                                    else mi_pols)[core][loc[0]]._order
                             w = loc[1]
                             if ordm[-1] != w:
                                 ordm.remove(w)
@@ -555,18 +542,14 @@ def _drive_baseline(sim: Any, workload: Any, machine: Any,
     node_views = handles["nodes"]
     nodes = len(node_views)
     tlb_maps = [v[0] for v in handles["tlbs"]]
-    tlb_orders = [_lru_orders(v[1]) for v in handles["tlbs"]]
+    tlb_pols = [v[1] for v in handles["tlbs"]]
     tlb_stats = handles["tlb_stats"]
     l1i_maps = [v[0][0] for v in node_views]
-    l1i_orders = [_lru_orders(v[0][1]) for v in node_views]
+    l1i_pols = [v[0][1] for v in node_views]
     l1d_maps = [v[1][0] for v in node_views]
-    l1d_orders = [_lru_orders(v[1][1]) for v in node_views]
+    l1d_pols = [v[1][1] for v in node_views]
     states = [v[2] for v in node_views]
     write_hits = handles["write_hits"]
-    if (any(o is None for o in tlb_orders)
-            or any(o is None for o in l1i_orders)
-            or any(o is None for o in l1d_orders)):
-        fast_ok = False
 
     lat_fast = handles["lat_fast"]
     line_bits = handles["line_bits"]
@@ -703,13 +686,13 @@ def _drive_baseline(sim: Any, workload: Any, machine: Any,
                         if (state is modified or state is exclusive
                                 or (state is shared and kcode != 2)):
                             # -- commit: the scalar L1-hit prefix.
-                            ordt = tlb_orders[core][tloc[0]]
+                            ordt = tlb_pols[core][tloc[0]]._order
                             w = tloc[1]
                             if ordt[-1] != w:
                                 ordt.remove(w)
                                 ordt.append(w)
-                            ordl = (l1d_orders if kcode
-                                    else l1i_orders)[core][lloc[0]]
+                            ordl = (l1d_pols if kcode
+                                    else l1i_pols)[core][lloc[0]]._order
                             w = lloc[1]
                             if ordl[-1] != w:
                                 ordl.remove(w)

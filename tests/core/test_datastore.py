@@ -1,6 +1,6 @@
 """Unit + property tests for the tag-less data arrays."""
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.common.errors import InvariantViolation
@@ -126,3 +126,49 @@ def test_occupancy_model(ops):
         regions[v >> 4] = regions.get(v >> 4, 0) + 1
     for region, count in regions.items():
         assert arr.region_line_count(region) == count
+
+
+@settings(max_examples=50)
+@given(st.lists(st.tuples(st.sampled_from(["fill", "touch"]),
+                          st.integers(0, 7), st.integers(0, 3),
+                          st.integers(0, 255)), max_size=200))
+def test_lazy_sets_read_as_eager_ones(ops):
+    """Against an eagerly built model (every set empty, LRU order
+    0..ways-1): untouched and filled sets answer every victim and
+    recency query alike, and iteration runs in ascending (set, way)."""
+    sets, ways = 8, 4
+    arr = DataArray("a", sets, ways)
+    slots = [[None] * ways for _ in range(sets)]
+    orders = [list(range(ways)) for _ in range(sets)]
+
+    def touch(set_idx, way):
+        orders[set_idx].remove(way)
+        orders[set_idx].append(way)
+
+    replacements = 0
+    for op, set_idx, way, n in ops:
+        if op == "touch":
+            arr.touch(set_idx, way)
+            touch(set_idx, way)
+        elif slots[set_idx][way] is None:
+            arr.put(set_idx, way, line(n))
+            slots[set_idx][way] = n
+            touch(set_idx, way)
+        else:
+            assert arr.clear(set_idx, way).line == slots[set_idx][way]
+            slots[set_idx][way] = None
+        for s in range(sets):
+            free = [w for w in range(ways) if slots[s][w] is None]
+            assert arr.free_way(s) == (free[0] if free else None)
+            assert arr.victim_way(s) == (free[0] if free else orders[s][0])
+            replacements += not free
+            assert arr.mru_way(s) == orders[s][-1]
+            for w in range(ways):
+                assert arr.is_mru(s, w) == (orders[s][-1] == w)
+                assert arr.is_recent(s, w) == (w in orders[s][ways // 2:])
+                got = arr.get(s, w)
+                assert (got.line if got else None) == slots[s][w]
+    assert arr.replacements == replacements
+    assert [(s, w, d.line) for s, w, d in arr] == [
+        (s, w, slots[s][w]) for s in range(sets) for w in range(ways)
+        if slots[s][w] is not None]

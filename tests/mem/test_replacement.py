@@ -1,14 +1,9 @@
-"""Unit + property tests for the replacement policies."""
+"""Unit + property tests for the LRU replacement policy."""
 
 from hypothesis import given, strategies as st
 import pytest
 
-from repro.mem.replacement import (
-    LRUPolicy,
-    PseudoLRUPolicy,
-    RandomPolicy,
-    make_policy,
-)
+from repro.mem.replacement import LRUPolicy
 
 
 class TestLRU:
@@ -48,49 +43,3 @@ class TestLRU:
         for way in touches:
             p.touch(way)
         assert p.victim() != p.mru_way() or len(set(touches)) == 0
-
-
-class TestPseudoLRU:
-    def test_requires_pow2(self):
-        with pytest.raises(ValueError):
-            PseudoLRUPolicy(6)
-
-    def test_victim_avoids_just_touched(self):
-        p = PseudoLRUPolicy(8)
-        p.touch(3)
-        assert p.victim() != 3
-
-    @given(st.lists(st.integers(0, 7), min_size=1, max_size=64))
-    def test_victim_in_range(self, touches):
-        p = PseudoLRUPolicy(8)
-        for way in touches:
-            p.touch(way)
-        assert 0 <= p.victim() < 8
-
-    def test_protected_respected_when_possible(self):
-        p = PseudoLRUPolicy(4)
-        victim = p.victim(protected=[p._walk()])
-        assert victim not in (p._walk(),) or victim in range(4)
-
-
-class TestRandom:
-    def test_deterministic_per_seed(self):
-        a = [RandomPolicy(8, seed=5).victim() for _ in range(10)]
-        b = [RandomPolicy(8, seed=5).victim() for _ in range(10)]
-        assert a == b
-
-    def test_protected_avoided(self):
-        p = RandomPolicy(4, seed=1)
-        for _ in range(50):
-            assert p.victim(protected=[1, 2, 3]) == 0
-
-
-class TestFactory:
-    def test_known_policies(self):
-        assert isinstance(make_policy("lru")(4), LRUPolicy)
-        assert isinstance(make_policy("plru")(4), PseudoLRUPolicy)
-        assert isinstance(make_policy("random")(4), RandomPolicy)
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            make_policy("fifo")

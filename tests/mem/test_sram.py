@@ -104,12 +104,22 @@ class TestCustomIndex:
 @given(st.lists(st.tuples(st.sampled_from(["insert", "lookup", "invalidate"]),
                           st.integers(0, 63)), max_size=300))
 def test_model_conformance(ops):
-    """The store behaves like a bounded dict (presence-wise)."""
-    store = SetAssocStore(4, 4)
+    """The store behaves like a bounded dict (presence-wise), and a set
+    that was never filled reads exactly as a freshly built one."""
+    sets, ways = 8, 4
+    store = SetAssocStore(sets, ways)
     model = {}
+    filled = set()
     for op, key in ops:
         if op == "insert":
+            preview = store.preview_victim(key)
             victim = store.insert(key, key * 10)
+            assert victim == preview
+            if key % sets not in filled:
+                # a set's first fill takes way 0 and evicts nothing
+                assert victim is None
+                assert store.location_of(key) == (key % sets, 0)
+                filled.add(key % sets)
             model[key] = key * 10
             if victim is not None:
                 del model[victim[0]]
@@ -120,6 +130,12 @@ def test_model_conformance(ops):
             got = store.invalidate(key)
             assert got == model.pop(key, None)
         assert len(store) == len(model)
-        # capacity per set never exceeded
-        for set_idx in range(4):
-            assert store.set_occupancy(set_idx) <= 4
+        for set_idx in range(sets):
+            resident = sorted(k for k in model if k % sets == set_idx)
+            assert sorted(store.keys_in_set(set_idx)) == resident
+            # capacity per set never exceeded
+            assert store.set_occupancy(set_idx) == len(resident) <= ways
+            if set_idx not in filled:
+                assert all(store.peek_way(set_idx, way) is None
+                           for way in range(ways))
+                assert store.preview_victim(set_idx) is None
